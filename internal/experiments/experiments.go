@@ -28,8 +28,9 @@ type Scale struct {
 	NetLoads []float64
 	// NetWarmup and NetMeasure size the network runs.
 	NetWarmup, NetMeasure int64
-	// NetTerminals shrinks the Figure 19 network when nonzero is false;
-	// FullNetwork selects the paper's 4096-node configuration.
+	// FullNetwork selects the paper's 4096-node Figure 19 networks
+	// (radix 64 vs radix 16); false runs the reduced 256-node pair
+	// (radix 16 vs radix 4).
 	FullNetwork bool
 	// Seed drives all runs.
 	Seed uint64

@@ -38,3 +38,44 @@ func BenchmarkQuiescentNetworkCycle(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkLoadedNetworkCycle measures one driver cycle of a Clos
+// network in steady state at 60% offered load: generate, inject, Step,
+// and recycle the ejected flits — the serial driver's loop body without
+// its statistics. The network is warmed for 500 cycles first, so every
+// op runs against full buffers, busy channels and in-flight credits;
+// k64d2 is the 4096-node network of Figure 19.
+func BenchmarkLoadedNetworkCycle(b *testing.B) {
+	for _, cfg := range []Config{
+		{Radix: 16, Digits: 2},
+		{Radix: 64, Digits: 2},
+	} {
+		b.Run(fmt.Sprintf("k%dd%d", cfg.Radix, cfg.Digits), func(b *testing.B) {
+			o := Options{Net: cfg, Load: 0.6, Seed: 1}.WithDefaults()
+			topo, err := o.Topology()
+			if err != nil {
+				b.Fatal(err)
+			}
+			nw := NewNetwork(topo, o.RouteSeed())
+			src := NewSources(topo, o.SourceOpts(topo), 0, topo.Routers())
+			var now int64
+			cycle := func() {
+				src.Generate(now, false)
+				src.InjectAll(now, nw, nil)
+				nw.Step(now)
+				for _, f := range nw.Ejected() {
+					src.Recycle(f)
+				}
+				now++
+			}
+			for now < 500 {
+				cycle()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for n := 0; n < b.N; n++ {
+				cycle()
+			}
+		})
+	}
+}

@@ -1,7 +1,8 @@
 package network
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"highradix/internal/arb"
 	"highradix/internal/flit"
@@ -23,8 +24,6 @@ type creditMsg struct {
 	port   int
 	vc     int
 }
-
-type serial struct{ freeAt int64 }
 
 // XKind tags a cross-shard message.
 type XKind uint8
@@ -57,21 +56,9 @@ type Xmsg struct {
 // SortXmsgs orders messages by the canonical (At, SrcRouter, SrcPort,
 // VC, Kind) key.
 func SortXmsgs(ms []Xmsg) {
-	sort.Slice(ms, func(i, j int) bool {
-		a, b := ms[i], ms[j]
-		if a.At != b.At {
-			return a.At < b.At
-		}
-		if a.SrcRouter != b.SrcRouter {
-			return a.SrcRouter < b.SrcRouter
-		}
-		if a.SrcPort != b.SrcPort {
-			return a.SrcPort < b.SrcPort
-		}
-		if a.VC != b.VC {
-			return a.VC < b.VC
-		}
-		return a.Kind < b.Kind
+	slices.SortFunc(ms, func(a, b Xmsg) int {
+		return cmp.Or(cmp.Compare(a.At, b.At), cmp.Compare(a.SrcRouter, b.SrcRouter),
+			cmp.Compare(a.SrcPort, b.SrcPort), cmp.Compare(a.VC, b.VC), cmp.Compare(a.Kind, b.Kind))
 	})
 }
 
@@ -84,8 +71,12 @@ func SortXmsgs(ms []Xmsg) {
 // driver owns [0, Routers()); shard workers each own a slice of it.
 // Events bound for routers outside the range accumulate in an outbox
 // (TakeOutbox) instead of a local calendar, and remote events enter
-// through PutRemote. All state arrays are indexed by local router id
-// r-lo, so a shard allocates only its own routers.
+// through PutRemote. A shard allocates only its own routers: with
+// local router id lr = r-lo, per-(router, port, VC) state lives in one
+// flat slice indexed (lr*ports+port)*VCs+vc and per-(router, port)
+// state in one indexed lr*ports+port, so a router's state is one
+// contiguous run and its flat (port*VCs+vc) requester index is an
+// offset into it.
 type Network struct {
 	topo Topology
 	seed uint64
@@ -99,26 +90,32 @@ type Network struct {
 	hop   int64
 	cd    int64
 
-	// buf[local][port][vc] are the input buffers.
-	buf [][][]*sim.Queue[*flit.Flit]
-	// credit[local][port][vc] counts free slots in the downstream
-	// buffer fed by output `port`; ejection ports are uncounted.
-	credit [][][]int
-	// linkOwner[local][port][vc] holds the packet that owns outgoing
-	// channel VC between head and tail (wormhole flow control: flits of
-	// different packets must not interleave on one link VC).
-	linkOwner [][][]uint64
-	// routeOf/vcOf[local][port][vc] relay a head's routing choice to
-	// the body flits landing behind it in the same buffer; each flit is
-	// stamped (Route, RouteVC) at land time so a queued flit keeps its
-	// own choice even after a later head overwrites these tables.
-	routeOf [][][]int
-	vcOf    [][][]int
-	// outFree[local][port] serializes each output channel.
-	outFree [][]serial
-	// outPtr is the rotating allocation pointer per (local, output)
+	// buf holds the input buffers by value, per (router, port, VC).
+	buf []sim.Queue[*flit.Flit]
+	// credit counts free slots in the downstream buffer fed by each
+	// (router, output, VC); ejection ports are uncounted.
+	credit []int32
+	// linkOwner holds the packet that owns each outgoing (router,
+	// output, VC) channel between head and tail (wormhole flow control:
+	// flits of different packets must not interleave on one link VC).
+	linkOwner []uint64
+	// routeOf/vcOf relay a head's routing choice to the body flits
+	// landing behind it in the same (router, port, VC) buffer; each
+	// flit is stamped (Route, RouteVC) at land time so a queued flit
+	// keeps its own choice even after a later head overwrites these.
+	routeOf []int32
+	vcOf    []int32
+	// outFree is the cycle each (router, output) channel finishes
+	// serializing its last flit.
+	outFree []int64
+	// outPtr is the rotating allocation pointer per (router, output)
 	// over flat (port*VCs+vc) requester indices.
-	outPtr [][]int
+	outPtr []int32
+	// links and feeders cache Topology.Link and Feeder per (router,
+	// port): the wiring is immutable and the hot loops need it on every
+	// grant.
+	links   []Link
+	feeders []Link
 
 	// injCredit[terminal][vc] counts free slots in the entry buffer fed
 	// by each terminal; allocated only for terminals whose entry router
@@ -187,13 +184,15 @@ func NewNetworkRange(topo Topology, seed uint64, lo, hi int) *Network {
 		topo: topo, seed: seed, lo: lo, hi: hi,
 		n: topo.Terminals(), v: v, ports: p,
 		ser: int64(topo.SerCycles()), hop: int64(topo.HopDelay()), cd: int64(topo.CreditDelay()),
-		buf:        make([][][]*sim.Queue[*flit.Flit], hi-lo),
-		credit:     make([][][]int, hi-lo),
-		linkOwner:  make([][][]uint64, hi-lo),
-		routeOf:    make([][][]int, hi-lo),
-		vcOf:       make([][][]int, hi-lo),
-		outFree:    make([][]serial, hi-lo),
-		outPtr:     make([][]int, hi-lo),
+		buf:        make([]sim.Queue[*flit.Flit], (hi-lo)*p*v),
+		credit:     make([]int32, (hi-lo)*p*v),
+		linkOwner:  make([]uint64, (hi-lo)*p*v),
+		routeOf:    make([]int32, (hi-lo)*p*v),
+		vcOf:       make([]int32, (hi-lo)*p*v),
+		outFree:    make([]int64, (hi-lo)*p),
+		outPtr:     make([]int32, (hi-lo)*p),
+		links:      make([]Link, (hi-lo)*p),
+		feeders:    make([]Link, (hi-lo)*p),
 		injCredit:  make([][]int, topo.Terminals()),
 		arrivals:   sim.NewCalendar[arrival](span),
 		credits:    sim.NewCalendar[creditMsg](span),
@@ -205,27 +204,16 @@ func NewNetworkRange(topo Topology, seed uint64, lo, hi int) *Network {
 		outReqd:    arb.MakeBitVec(p),
 	}
 	depth := topo.BufDepth()
-	for lr := range nw.buf {
-		r := lo + lr
+	for lr := range nw.occ {
 		nw.occ[lr] = arb.MakeBitVec(p * v)
-		nw.buf[lr] = make([][]*sim.Queue[*flit.Flit], p)
-		nw.credit[lr] = make([][]int, p)
-		nw.linkOwner[lr] = make([][]uint64, p)
-		nw.routeOf[lr] = make([][]int, p)
-		nw.vcOf[lr] = make([][]int, p)
-		nw.outFree[lr] = make([]serial, p)
-		nw.outPtr[lr] = make([]int, p)
 		for pt := 0; pt < p; pt++ {
-			nw.buf[lr][pt] = make([]*sim.Queue[*flit.Flit], v)
-			nw.credit[lr][pt] = make([]int, v)
-			nw.linkOwner[lr][pt] = make([]uint64, v)
-			nw.routeOf[lr][pt] = make([]int, v)
-			nw.vcOf[lr][pt] = make([]int, v)
-			feedsRouter := topo.Link(r, pt).Router >= 0
-			for c := 0; c < v; c++ {
-				nw.buf[lr][pt][c] = sim.NewQueue[*flit.Flit](depth)
-				if feedsRouter {
-					nw.credit[lr][pt][c] = depth
+			o := lr*p + pt
+			nw.links[o] = topo.Link(lo+lr, pt)
+			nw.feeders[o] = topo.Feeder(lo+lr, pt)
+			for i := o * v; i < (o+1)*v; i++ {
+				nw.buf[i] = sim.MakeQueue[*flit.Flit](depth)
+				if nw.links[o].Router >= 0 {
+					nw.credit[i] = int32(depth)
 				}
 			}
 		}
@@ -345,15 +333,16 @@ func (nw *Network) PutRemote(m Xmsg) {
 // shard evaluates it.
 func (nw *Network) land(a arrival) {
 	lr := a.router - nw.lo
+	i := (lr*nw.ports+a.port)*nw.v + a.vc
 	if a.f.Head {
 		np, nvc := nw.topo.NextHop(a.router, a.port, a.f.Dst, a.vc,
 			routeKey(nw.seed, a.f.PacketID, a.router))
-		nw.routeOf[lr][a.port][a.vc] = np
-		nw.vcOf[lr][a.port][a.vc] = nvc
+		nw.routeOf[i] = int32(np)
+		nw.vcOf[i] = int32(nvc)
 	}
-	a.f.Route = nw.routeOf[lr][a.port][a.vc]
-	a.f.RouteVC = nw.vcOf[lr][a.port][a.vc]
-	nw.buf[lr][a.port][a.vc].MustPush(a.f)
+	a.f.Route = int(nw.routeOf[i])
+	a.f.RouteVC = int(nw.vcOf[i])
+	nw.buf[i].MustPush(a.f)
 	nw.occ[lr].Set(a.port*nw.v + a.vc)
 	nw.bufCount[lr]++
 	nw.act.Set(lr)
@@ -368,67 +357,71 @@ func (nw *Network) Step(now int64) {
 			nw.injCredit[c.port][c.vc]++
 			return
 		}
-		nw.credit[c.router-nw.lo][c.port][c.vc]++
+		nw.credit[((c.router-nw.lo)*nw.ports+c.port)*nw.v+c.vc]++
 	})
 	nw.arrivals.PopDue(now, nw.land)
 	nw.toTerm.DrainReady(now, func(f *flit.Flit) {
 		nw.ejected = append(nw.ejected, f)
 	})
 	if len(nw.ejected) > 1 {
-		sort.Slice(nw.ejected, func(i, j int) bool { return nw.ejected[i].Dst < nw.ejected[j].Dst })
+		slices.SortFunc(nw.ejected, func(a, b *flit.Flit) int { return cmp.Compare(a.Dst, b.Dst) })
 	}
 
 	v := nw.v
 	flat := nw.ports * v
 	for lr := nw.act.Next(0); lr >= 0; lr = nw.act.Next(lr + 1) {
 		r := nw.lo + lr
-		bufs := nw.buf[lr]
+		// Router lr's slices of the flat state: per-(port, VC) entries
+		// are indexed by the flat requester index fi = port*VCs+vc,
+		// per-output entries by the output port.
+		bufs := nw.buf[lr*flat : (lr+1)*flat]
+		credit := nw.credit[lr*flat : (lr+1)*flat]
+		owners := nw.linkOwner[lr*flat : (lr+1)*flat]
+		outFree := nw.outFree[lr*nw.ports : (lr+1)*nw.ports]
+		outPtr := nw.outPtr[lr*nw.ports : (lr+1)*nw.ports]
 		occR := &nw.occ[lr]
 		// Request phase: every occupied input VC posts its front flit's
 		// output request (single-iteration separable allocation,
 		// requester side). The flat (port*VCs+vc) bit order equals the
-		// dense (port, vc) double loop's.
+		// dense (port, vc) double loop's. An output still serializing
+		// cannot be granted this cycle, and a grant changes only the
+		// granted output's state, so requests for it are never posted.
 		for fi := occR.Next(0); fi >= 0; fi = occR.Next(fi + 1) {
-			f, _ := bufs[fi/v][fi%v].Peek()
+			f, _ := bufs[fi].Peek()
+			if outFree[f.Route] > now {
+				continue
+			}
 			nw.outReqd.Set(f.Route)
 			nw.reqScratch[f.Route] = append(nw.reqScratch[f.Route], fi)
 		}
-		// Grant phase: one winner per requested free output, rotating
+		// Grant phase: one winner per requested output, rotating
 		// priority over flat (port, vc) indices. Each visited output's
-		// scratch is truncated in place — including when the channel is
-		// busy — so the next router starts clean without a wide reset.
+		// scratch is truncated in place, so the next router starts clean
+		// without a wide reset.
 		for out := nw.outReqd.Next(0); out >= 0; out = nw.outReqd.Next(out + 1) {
 			nw.outReqd.Clear(out)
 			reqs := nw.reqScratch[out]
 			nw.reqScratch[out] = reqs[:0]
-			if nw.outFree[lr][out].freeAt > now {
-				continue
-			}
-			link := nw.topo.Link(r, out)
+			link := nw.links[lr*nw.ports+out]
 			eject := link.Router < 0
-			ptr := nw.outPtr[lr][out]
+			ptr := int(outPtr[out])
 			best, bestRank := -1, flat
 			for _, fi := range reqs {
-				p, c := fi/v, fi%v
-				fr, _ := bufs[p][c].Peek()
-				ovc := fr.RouteVC
-				if !eject && nw.credit[lr][out][ovc] <= 0 {
+				fr, _ := bufs[fi].Peek()
+				oi := out*v + fr.RouteVC
+				if !eject && credit[oi] <= 0 {
 					continue
 				}
 				// Wormhole link-VC ownership: a head flit needs the
 				// channel VC free; body flits must own it. This is what
 				// keeps packets from interleaving on a link.
-				owner := nw.linkOwner[lr][out][ovc]
-				if fr.Head && !fr.Tail {
-					if owner != 0 {
-						continue
-					}
-				} else if !fr.Head && owner != fr.PacketID {
-					continue
-				} else if fr.Head && fr.Tail && owner != 0 {
+				if owner := owners[oi]; (fr.Head && owner != 0) || (!fr.Head && owner != fr.PacketID) {
 					continue
 				}
-				rank := (fi - ptr + flat) % flat
+				rank := fi - ptr
+				if rank < 0 {
+					rank += flat
+				}
 				if rank < bestRank {
 					bestRank, best = rank, fi
 				}
@@ -436,10 +429,10 @@ func (nw *Network) Step(now int64) {
 			if best < 0 {
 				continue
 			}
-			p, c := best/v, best%v
-			f := bufs[p][c].MustPop()
+			f := bufs[best].MustPop()
 			ovc := f.RouteVC
-			if bufs[p][c].Len() == 0 {
+			oi := out*v + ovc
+			if bufs[best].Len() == 0 {
 				occR.Clear(best)
 			}
 			nw.bufCount[lr]--
@@ -447,14 +440,14 @@ func (nw *Network) Step(now int64) {
 				nw.act.Clear(lr)
 			}
 			nw.buffered--
-			nw.outPtr[lr][out] = (best + 1) % flat
-			nw.outFree[lr][out].freeAt = now + nw.ser
-			nw.sendCreditUpstream(now, r, p, c)
+			outPtr[out] = int32((best + 1) % flat)
+			outFree[out] = now + nw.ser
+			nw.sendCreditUpstream(now, lr, best/v, best%v)
 			if f.Head && !f.Tail {
-				nw.linkOwner[lr][out][ovc] = f.PacketID
+				owners[oi] = f.PacketID
 			}
 			if f.Tail && !f.Head {
-				nw.linkOwner[lr][out][ovc] = 0
+				owners[oi] = 0
 			}
 			f.Hops++
 			if eject {
@@ -467,7 +460,7 @@ func (nw *Network) Step(now int64) {
 				nw.toTerm.Push(now, f)
 				continue
 			}
-			nw.credit[lr][out][ovc]--
+			credit[oi]--
 			f.VC = ovc
 			at := now + nw.hop + 1
 			if nw.Owns(link.Router) {
@@ -484,12 +477,12 @@ func (nw *Network) Step(now int64) {
 	}
 }
 
-// sendCreditUpstream routes a freed (router, port, vc) buffer slot
-// back to the output (or terminal) that feeds it. Terminal feeders are
-// always local (the terminal's entry router is this router); remote
-// router feeders go through the outbox.
-func (nw *Network) sendCreditUpstream(now int64, r, p, c int) {
-	fd := nw.topo.Feeder(r, p)
+// sendCreditUpstream routes a freed (local router lr, port p, vc c)
+// buffer slot back to the output (or terminal) that feeds it. Terminal
+// feeders are always local (the terminal's entry router is this
+// router); remote router feeders go through the outbox.
+func (nw *Network) sendCreditUpstream(now int64, lr, p, c int) {
+	fd := nw.feeders[lr*nw.ports+p]
 	at := now + nw.cd
 	if fd.Router < 0 {
 		nw.credits.Schedule(at, creditMsg{router: -1, port: fd.Terminal, vc: c})
@@ -501,7 +494,7 @@ func (nw *Network) sendCreditUpstream(now int64, r, p, c int) {
 	}
 	nw.outbox = append(nw.outbox, Xmsg{
 		At: at, Kind: XCredit,
-		SrcRouter: r, SrcPort: p,
+		SrcRouter: nw.lo + lr, SrcPort: p,
 		DstRouter: fd.Router, DstPort: fd.Port, VC: c,
 	})
 }
