@@ -248,14 +248,12 @@ func runSweep(benchtime string, verbose bool) sweep {
 // figureTimings times the Quick-scale regeneration of the figures whose
 // wall-clock the repository tracks (the cheapest single-router figure
 // and the Clos-network figure), serially (Workers=1), one run each. The
-// network figure is timed twice — through the serial network driver and
-// through the sharded runner at 4 workers — so the file records the A/B
-// wall-clock of the shard layer on byte-identical output.
+// network figure is timed twice — at 1 shard worker and at 4 — so the
+// file records the A/B wall-clock of the shard layer on byte-identical
+// output.
 func figureTimings(verbose bool) []figPoint {
 	base := experiments.Quick
 	base.Workers = 1
-	serial := base
-	serial.NetWorkers = 0
 	sharded := base
 	sharded.NetWorkers = 4
 	runs := []struct {
@@ -263,8 +261,8 @@ func figureTimings(verbose bool) []figPoint {
 		exp   string
 		scale experiments.Scale
 	}{
-		{"fig9", "fig9", serial},
-		{"fig19", "fig19", serial},
+		{"fig9", "fig9", base},
+		{"fig19", "fig19", base},
 		{"fig19-sharded", "fig19", sharded},
 	}
 	var out []figPoint

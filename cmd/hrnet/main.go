@@ -1,7 +1,7 @@
 // Command hrnet runs the network-scale simulation: the Clos of the
 // paper's Figure 19 (N = k^d terminals, 2d-1 stages of radix-k routers,
 // oblivious random-middle-stage routing) or the ring and 2D-torus
-// extensions, serially or sharded across workers.
+// extensions, sharded across one or more workers.
 //
 // Examples:
 //
@@ -12,10 +12,10 @@
 //	hrnet -topo torus -dimx 4 -dimy 4 -load 0.4
 //	hrnet -radix 64 -workers 8 -load 0.6       # sharded run, 8 workers
 //
-// With -workers N (N >= 1) the run goes through the deterministic
-// sharded runner (internal/network/shard), which is byte-identical to
-// the serial driver at every worker count; -workers 0 (the default)
-// runs serially. With -loads, the listed offered-load points run in
+// Every run goes through the deterministic sharded driver
+// (internal/network/shard) with -workers shards (default 1); results
+// are byte-identical at every worker count, and a negative count is a
+// usage error. With -loads, the listed offered-load points run in
 // parallel on a worker pool (-j workers, default GOMAXPROCS; each run
 // owns its RNG, so the table is identical at every -j) and the sweep
 // stops at the first saturated point, like the paper's curves.
@@ -49,7 +49,7 @@ func main() {
 		warmup   = flag.Int64("warmup", 1500, "warmup cycles")
 		measure  = flag.Int64("measure", 3000, "measurement cycles")
 		seed     = flag.Uint64("seed", 1, "random seed")
-		workers  = flag.Int("workers", 0, "shard the simulation across N workers (0 = serial driver; results are byte-identical at every count)")
+		workers  = flag.Int("workers", 1, "shard the simulation across N workers (results are byte-identical at every count)")
 		jobs     = flag.Int("j", 0, "sweep pool workers (0 = GOMAXPROCS, 1 = serial)")
 		profile  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		chk      = flag.Bool("check", false, "arm the end-to-end network auditor (drains each run to empty and fails on any violation)")
@@ -59,6 +59,9 @@ func main() {
 	flag.Parse()
 
 	injMode, err := traffic.InjModeByName(*inj)
+	if err == nil {
+		err = shard.CheckWorkers(*workers)
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "hrnet:", err)
 		os.Exit(2)
@@ -101,12 +104,9 @@ func main() {
 		NoFastForward: *noff,
 		Injection:     injMode,
 	}
-	fmt.Printf("%s: routers=%d terminals=%d vcs=%d hop-delay=%d ser=%d",
-		topo.Name(), topo.Routers(), topo.Terminals(), topo.VCs(), topo.HopDelay(), topo.SerCycles())
-	if *workers > 0 {
-		fmt.Printf(" shard-workers=%d lookahead=%d", *workers, network.Lookahead(topo))
-	}
-	fmt.Println()
+	fmt.Printf("%s: routers=%d terminals=%d vcs=%d hop-delay=%d ser=%d shard-workers=%d lookahead=%d\n",
+		topo.Name(), topo.Routers(), topo.Terminals(), topo.VCs(), topo.HopDelay(), topo.SerCycles(),
+		*workers, network.Lookahead(topo))
 
 	if *loads != "" {
 		if err := sweepLoads(base, *loads, *jobs, *workers, *chk); err != nil {
@@ -122,7 +122,7 @@ func main() {
 		aud = check.NewNetAuditor(topo.Terminals(), topo.SerCycles(), check.Options{})
 		base.Hooks = aud
 	}
-	res, err := runPoint(base, *workers)
+	res, err := shard.Run(shard.Options{Options: base, Workers: *workers})
 	if err == nil && aud != nil && !res.Saturated {
 		// A saturated run legitimately fails to drain inside the cycle
 		// budget; only a completed drain is held to the empty-network
@@ -144,14 +144,6 @@ func main() {
 	if res.Saturated {
 		fmt.Println("  SATURATED")
 	}
-}
-
-// runPoint dispatches one run to the serial or sharded driver.
-func runPoint(o network.Options, workers int) (network.Result, error) {
-	if workers > 0 {
-		return shard.Run(shard.Options{Options: o, Workers: workers})
-	}
-	return network.Run(o)
 }
 
 // sweepLoads fans the listed offered-load points out on the worker pool
@@ -191,7 +183,7 @@ func sweepLoads(base network.Options, list string, jobs, workers int, chk bool) 
 		// Curve's run executes slotless; the simulation itself goes
 		// through Do so the pool still bounds concurrent runs.
 		res, err := sweep.Do(p, func() (network.Result, error) {
-			return runPoint(o, workers)
+			return shard.Run(shard.Options{Options: o, Workers: workers})
 		})
 		if err == nil && aud != nil && !res.Saturated {
 			err = aud.Final(res.Cycles)

@@ -27,6 +27,7 @@ import (
 
 	"highradix/internal/cache"
 	"highradix/internal/experiments"
+	"highradix/internal/network/shard"
 	"highradix/internal/stats"
 	"highradix/internal/traffic"
 )
@@ -43,12 +44,15 @@ func main() {
 		profile  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		noff     = flag.Bool("noff", false, "force dense per-cycle stepping (disable quiescence fast-forward; results are byte-identical)")
 		inj      = flag.String("inj", "percycle", "injection sampling: percycle|gap (gap is event-driven, O(events) at low load, distribution-equivalent)")
-		netw     = flag.Int("netw", -1, "network-run shard workers: 0 = serial driver, >= 1 = sharded (-1 keeps the scale default; results are byte-identical at every value)")
+		netw     = flag.Int("netw", 1, "network-run shard workers (results are byte-identical at every value)")
 		cacheDir = flag.String("cache", "", "content-addressed result cache directory: warm figures and points are served from it byte-identically instead of resimulated")
 	)
 	flag.Parse()
 
 	injMode, err := traffic.InjModeByName(*inj)
+	if err == nil {
+		err = shard.CheckWorkers(*netw)
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "hrsweep:", err)
 		os.Exit(2)
@@ -88,9 +92,7 @@ func main() {
 	scale.Workers = *jobs
 	scale.NoFastForward = *noff
 	scale.Injection = injMode
-	if *netw >= 0 {
-		scale.NetWorkers = *netw
-	}
+	scale.NetWorkers = *netw
 	if *cacheDir != "" {
 		st, err := cache.Open(*cacheDir)
 		if err != nil {

@@ -53,6 +53,7 @@ import (
 	"highradix/internal/area"
 	"highradix/internal/experiments"
 	"highradix/internal/network"
+	"highradix/internal/network/shard"
 	"highradix/internal/router"
 	"highradix/internal/stats"
 	"highradix/internal/testbench"
@@ -196,11 +197,13 @@ type (
 )
 
 // SimulateNetwork runs one Clos network simulation.
-func SimulateNetwork(o NetOptions) (NetResult, error) { return network.Run(o) }
+func SimulateNetwork(o NetOptions) (NetResult, error) {
+	return shard.Run(shard.Options{Options: o})
+}
 
 // SweepNetwork runs a network latency-load curve.
 func SweepNetwork(name string, loads []float64, base NetOptions) (*Series, error) {
-	return network.Sweep(name, loads, base)
+	return shard.Sweep(name, loads, shard.Options{Options: base})
 }
 
 // Technology is a design point of the Section 2 latency/cost model.

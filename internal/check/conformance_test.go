@@ -137,7 +137,7 @@ func TestClosConformance(t *testing.T) {
 					t.Fatal(err)
 				}
 				aud := check.NewNetAuditor(full.Terminals(), full.SerCycles, check.Options{})
-				res, err := network.Run(network.Options{
+				res, err := shard.Run(shard.Options{Options: network.Options{
 					Net:           cfg,
 					Load:          0.3,
 					PktLen:        pktLen,
@@ -146,7 +146,7 @@ func TestClosConformance(t *testing.T) {
 					Seed:          5,
 					Pattern:       p,
 					Hooks:         aud,
-				})
+				}})
 				if err != nil {
 					t.Fatalf("invariant violation: %v", err)
 				}
@@ -165,11 +165,11 @@ func TestClosConformance(t *testing.T) {
 }
 
 // TestTopologyConformance extends the network audit to the ring and
-// torus families, serial and sharded: conservation, in-order per-packet
-// delivery, terminal serializer spacing, and a drained final state,
-// under every traffic pattern. Loads sit under each family's worst
-// pattern capacity (the diagonal is the ring's tornado, whose capacity
-// on 16 nodes is ~0.12).
+// torus families at one and at three shard workers: conservation,
+// in-order per-packet delivery, terminal serializer spacing, and a
+// drained final state, under every traffic pattern. Loads sit under
+// each family's worst pattern capacity (the diagonal is the ring's
+// tornado, whose capacity on 16 nodes is ~0.12).
 func TestTopologyConformance(t *testing.T) {
 	ring, err := network.NewRing(network.RingConfig{Routers: 16})
 	if err != nil {
@@ -186,8 +186,9 @@ func TestTopologyConformance(t *testing.T) {
 	for _, tc := range cases {
 		for _, pat := range conformancePatterns {
 			for _, pktLen := range []int{1, 3} {
-				// Workers 0 runs the serial driver; the sharded runs keep
-				// the same auditor armed across the barrier replay.
+				// Workers 0 is the zero value SimulateNetwork passes (one
+				// worker); the three-worker runs keep the same auditor
+				// armed across the barrier replay.
 				for _, workers := range []int{0, 3} {
 					tc, pat, pktLen, workers := tc, pat, pktLen, workers
 					t.Run(fmt.Sprintf("%s/%s/pkt%d/w%d", tc.topo.Name(), pat, pktLen, workers), func(t *testing.T) {
@@ -207,12 +208,7 @@ func TestTopologyConformance(t *testing.T) {
 							Pattern:       p,
 							Hooks:         aud,
 						}
-						var res network.Result
-						if workers == 0 {
-							res, err = network.Run(o)
-						} else {
-							res, err = shard.Run(shard.Options{Options: o, Workers: workers})
-						}
+						res, err := shard.Run(shard.Options{Options: o, Workers: workers})
 						if err != nil {
 							t.Fatalf("invariant violation: %v", err)
 						}

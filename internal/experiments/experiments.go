@@ -39,12 +39,10 @@ type Scale struct {
 	// forces serial execution. Every run owns its RNG (seeded from
 	// Seed), so the produced tables are identical for every value.
 	Workers int
-	// NetWorkers selects the network-run driver: 0 is the serial
-	// network.Run, >= 1 runs every network point through the sharded
-	// runner (network/shard) with that many workers. The sharded runner
-	// is byte-identical to the serial one at every worker count, so this
-	// knob changes wall-clock only, never a table — the goldens pin that
-	// by running the default scales through the sharded path.
+	// NetWorkers is the shard worker count of every network run
+	// (shard.Options.Workers; 0 and 1 both mean one worker). Results
+	// are byte-identical at every count, so this changes wall-clock
+	// only, never a table.
 	NetWorkers int
 	// NoFastForward forces dense per-cycle stepping in every run
 	// (testbench.Options.NoFastForward / network.Options.NoFastForward).

@@ -75,22 +75,9 @@ func TestGoldenFig19Gap(t *testing.T) {
 	golden(t, "fig19_gap", func() (*stats.Table, error) { return Fig19(gapScale()) })
 }
 
-// TestGoldenFig19 pins the per-cycle network figure. Quick runs it
-// through the sharded driver (NetWorkers 1); TestGoldenFig19Serial
-// regenerates the same table through the serial driver and requires the
-// identical bytes — the golden-level statement of the shard package's
-// equivalence claim.
+// TestGoldenFig19 pins the per-cycle network figure.
 func TestGoldenFig19(t *testing.T) {
 	golden(t, "fig19", func() (*stats.Table, error) { return Fig19(Quick) })
-}
-
-func TestGoldenFig19Serial(t *testing.T) {
-	if *update {
-		t.Skip("fig19.golden is written by TestGoldenFig19 (sharded); this test only cross-checks the serial driver")
-	}
-	s := Quick
-	s.NetWorkers = 0
-	golden(t, "fig19", func() (*stats.Table, error) { return Fig19(s) })
 }
 
 // TestGoldenRadixScale pins the radix-scaling extension figure —

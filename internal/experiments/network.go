@@ -7,25 +7,16 @@ import (
 	"highradix/internal/sweep"
 )
 
-// netRun executes one network point through the driver the scale
-// selects: serial when NetWorkers is 0, sharded otherwise. The two are
-// byte-identical (shard's determinism suite), so generators use this
-// interchangeably.
-func (s Scale) netRun(o network.Options) (network.Result, error) {
-	if s.NetWorkers > 0 {
-		return shard.Run(shard.Options{Options: o, Workers: s.NetWorkers})
-	}
-	return network.Run(o)
-}
-
-// runNet is netRun behind the scale's cache, under a pool slot. The
-// cache key deliberately omits the worker count: serial and sharded
-// runs of one configuration are byte-identical, so they share an
-// entry.
+// runNet runs one network point at the scale's worker count, behind
+// the scale's cache, under a pool slot. The cache key deliberately
+// omits the worker count: runs of one configuration are byte-identical
+// at every count, so they share an entry.
 func (s Scale) runNet(p *sweep.Pool, o network.Options) (network.Result, error) {
 	key, ok := o.CacheKey()
 	return sweep.RunCached(p, s.Cache, key, ok, network.EncodeResult, network.DecodeResult,
-		func() (network.Result, error) { return s.netRun(o) })
+		func() (network.Result, error) {
+			return shard.Run(shard.Options{Options: o, Workers: s.NetWorkers})
+		})
 }
 
 // Fig19 reproduces Figure 19: latency versus offered load for a

@@ -41,10 +41,11 @@ func BenchmarkQuiescentNetworkCycle(b *testing.B) {
 
 // BenchmarkLoadedNetworkCycle measures one driver cycle of a Clos
 // network in steady state at 60% offered load: generate, inject, Step,
-// and recycle the ejected flits — the serial driver's loop body without
-// its statistics. The network is warmed for 500 cycles first, so every
-// op runs against full buffers, busy channels and in-flight credits;
-// k64d2 is the 4096-node network of Figure 19.
+// and recycle the ejected flits — the per-cycle body of a one-worker
+// shard epoch, without its delivery records. The network is warmed for
+// 500 cycles first, so every op runs against full buffers, busy
+// channels and in-flight credits; k64d2 is the 4096-node network of
+// Figure 19.
 func BenchmarkLoadedNetworkCycle(b *testing.B) {
 	for _, cfg := range []Config{
 		{Radix: 16, Digits: 2},

@@ -1,9 +1,11 @@
 // Package network implements the network-scale simulations of the
 // paper's Section 7 (Figure 19) and their generalization: a Topology
 // interface with folded-Clos, ring and 2D-torus families, a
-// topology-agnostic input-queued engine (Network), and a serial driver
-// (Run). The sibling package network/shard partitions the same engine
-// across workers with byte-identical results.
+// topology-agnostic input-queued engine (Network), the terminal sources
+// that feed it, and the run Options and Result. The sibling package
+// network/shard is the driver: it partitions engines and sources
+// across one or more workers, with byte-identical results at every
+// worker count.
 //
 // The flagship topology is the multistage Clos of Figure 19: 4096
 // nodes connected either by three stages of radix-64 routers (used as

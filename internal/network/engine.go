@@ -144,13 +144,13 @@ type Network struct {
 	// outFlits counts XFlit entries in the outbox: flits that have left
 	// this shard but are not yet in any calendar. They are in flight from
 	// the whole run's point of view, so InFlight must include them or the
-	// sharded drain-exit checks would see an emptier network than the
-	// serial run does.
+	// drain-exit checks of a multi-shard run would see an emptier network
+	// than a one-shard run does.
 	outFlits int
 	ejected  []*flit.Flit
 }
 
-// New builds a full serial network over the Clos topology described by
+// New builds an engine owning every router of the Clos described by
 // cfg (the historical constructor; routing draws from cfg.Seed).
 func New(cfg Config) (*Network, error) {
 	topo, err := NewClos(cfg)
@@ -160,7 +160,7 @@ func New(cfg Config) (*Network, error) {
 	return NewNetwork(topo, topo.Config().Seed^0x632be59bd9b4e019), nil
 }
 
-// NewNetwork builds a full serial network over topo.
+// NewNetwork builds an engine owning every router of topo.
 func NewNetwork(topo Topology, seed uint64) *Network {
 	return NewNetworkRange(topo, seed, 0, topo.Routers())
 }

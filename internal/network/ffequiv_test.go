@@ -1,4 +1,4 @@
-package network
+package network_test
 
 import (
 	"fmt"
@@ -6,6 +6,7 @@ import (
 
 	"highradix/internal/check"
 	"highradix/internal/flit"
+	"highradix/internal/network"
 )
 
 // The network-scale twin of testbench's fast-forward equivalence test:
@@ -25,7 +26,7 @@ type netEvent struct {
 // to a wrapped Hooks (the auditor) so checked runs are recorded too.
 type recHooks struct {
 	events []netEvent
-	inner  Hooks
+	inner  network.Hooks
 }
 
 func (h *recHooks) Injected(now int64, f *flit.Flit) {
@@ -50,7 +51,7 @@ func (h *recHooks) EndCycle(now int64, inFlight int) error {
 }
 
 func TestNetFastForwardTwin(t *testing.T) {
-	cases := []Config{
+	cases := []network.Config{
 		{Radix: 4, Digits: 2, Seed: 3},
 		{Radix: 4, Digits: 3, Seed: 5},
 		{Radix: 8, Digits: 2, Seed: 7},
@@ -58,10 +59,10 @@ func TestNetFastForwardTwin(t *testing.T) {
 	for _, cfg := range cases {
 		cfg := cfg
 		t.Run(fmt.Sprintf("k%dd%d", cfg.Radix, cfg.Digits), func(t *testing.T) {
-			run := func(noFF bool) ([]netEvent, Result, error) {
+			run := func(noFF bool) ([]netEvent, network.Result, error) {
 				full := cfg.WithDefaults()
 				rec := &recHooks{inner: check.NewNetAuditor(full.Terminals(), full.SerCycles, check.Options{})}
-				res, err := Run(Options{
+				res, err := simulate(network.Options{
 					Net:           cfg,
 					Load:          0.4,
 					WarmupCycles:  300,
@@ -97,9 +98,9 @@ func TestNetFastForwardTwin(t *testing.T) {
 // but still skip quiescent Steps; their results must match dense runs
 // exactly too.
 func TestNetFastForwardTwinUnhooked(t *testing.T) {
-	run := func(noFF bool) (Result, error) {
-		return Run(Options{
-			Net:           Config{Radix: 4, Digits: 2, Seed: 11},
+	run := func(noFF bool) (network.Result, error) {
+		return simulate(network.Options{
+			Net:           network.Config{Radix: 4, Digits: 2, Seed: 11},
 			Load:          0.3,
 			WarmupCycles:  300,
 			MeasureCycles: 600,

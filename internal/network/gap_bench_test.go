@@ -1,9 +1,10 @@
-package network
+package network_test
 
 import (
 	"fmt"
 	"testing"
 
+	"highradix/internal/network"
 	"highradix/internal/traffic"
 )
 
@@ -18,8 +19,8 @@ func BenchmarkNetRunLowLoad(b *testing.B) {
 			b.Run(fmt.Sprintf("load=%v/%s", load, mode), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					_, err := Run(Options{
-						Net:           Config{Radix: 16, Digits: 2, Seed: uint64(i) + 1},
+					_, err := simulate(network.Options{
+						Net:           network.Config{Radix: 16, Digits: 2, Seed: uint64(i) + 1},
 						Load:          load,
 						WarmupCycles:  600,
 						MeasureCycles: 1200,

@@ -1,4 +1,4 @@
-package network
+package network_test
 
 import (
 	"fmt"
@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"highradix/internal/check"
+	"highradix/internal/network"
 	"highradix/internal/traffic"
 )
 
@@ -17,20 +18,20 @@ import (
 
 func TestNetGapFastForwardTwin(t *testing.T) {
 	cases := []struct {
-		cfg  Config
+		cfg  network.Config
 		load float64
 	}{
-		{Config{Radix: 4, Digits: 2, Seed: 3}, 0.1},
-		{Config{Radix: 4, Digits: 3, Seed: 5}, 0.25},
-		{Config{Radix: 8, Digits: 2, Seed: 7}, 0.4},
+		{network.Config{Radix: 4, Digits: 2, Seed: 3}, 0.1},
+		{network.Config{Radix: 4, Digits: 3, Seed: 5}, 0.25},
+		{network.Config{Radix: 8, Digits: 2, Seed: 7}, 0.4},
 	}
 	for _, c := range cases {
 		c := c
 		t.Run(fmt.Sprintf("k%dd%d", c.cfg.Radix, c.cfg.Digits), func(t *testing.T) {
-			run := func(noFF bool, hooked bool) ([]netEvent, Result, error) {
+			run := func(noFF bool, hooked bool) ([]netEvent, network.Result, error) {
 				full := c.cfg.WithDefaults()
 				rec := &recHooks{}
-				o := Options{
+				o := network.Options{
 					Net:           c.cfg,
 					Load:          c.load,
 					WarmupCycles:  300,
@@ -43,7 +44,7 @@ func TestNetGapFastForwardTwin(t *testing.T) {
 				if hooked {
 					rec.inner = check.NewNetAuditor(full.Terminals(), full.SerCycles, check.Options{})
 				}
-				res, err := Run(o)
+				res, err := simulate(o)
 				return rec.events, res, err
 			}
 			for _, hooked := range []bool{false, true} {
@@ -73,20 +74,20 @@ func TestNetGapFastForwardTwin(t *testing.T) {
 // same offered load; tolerances are statistical (the draw sequences
 // differ by construction).
 func TestNetGapMatchesPerCycle(t *testing.T) {
-	base := Options{
-		Net:           Config{Radix: 8, Digits: 2, Seed: 9},
+	base := network.Options{
+		Net:           network.Config{Radix: 8, Digits: 2, Seed: 9},
 		Load:          0.2,
 		WarmupCycles:  500,
 		MeasureCycles: 2000,
 		Seed:          9,
 	}
-	pc, err := Run(base)
+	pc, err := simulate(base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	g := base
 	g.Injection = traffic.InjGap
-	gr, err := Run(g)
+	gr, err := simulate(g)
 	if err != nil {
 		t.Fatal(err)
 	}

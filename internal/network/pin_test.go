@@ -12,8 +12,8 @@ import (
 // network — 4096 nodes, three stages of radix-64 routers — at a short
 // window. No figure golden runs a radix-64 network (Quick fig19 is
 // 256-node), so this is what holds engine optimizations at the scale
-// they target to exact agreement. The per-cycle 0.6 point also runs
-// through the sharded driver at two workers.
+// they target to exact agreement. Every point runs at one worker; the
+// per-cycle 0.6 point also runs at two.
 func TestPinClos4096(t *testing.T) {
 	if testing.Short() {
 		t.Skip("4096-node network")
@@ -43,7 +43,7 @@ func TestPinClos4096(t *testing.T) {
 			Seed:          5,
 			Injection:     pt.inj,
 		}
-		res, err := network.Run(o)
+		res, err := shard.Run(shard.Options{Options: o, Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -56,7 +56,7 @@ func TestPinClos4096(t *testing.T) {
 				t.Fatal(err)
 			}
 			if sres != pt.want {
-				t.Errorf("sharded load %v: got %+v, want %+v", pt.load, sres, pt.want)
+				t.Errorf("2 workers, load %v: got %+v, want %+v", pt.load, sres, pt.want)
 			}
 		}
 	}

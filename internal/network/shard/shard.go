@@ -1,6 +1,7 @@
-// Package shard runs a network simulation partitioned across P workers
-// with results byte-identical to the serial driver (network.Run) at
-// every worker count.
+// Package shard is the network simulation driver. It runs one network
+// simulation partitioned across P workers, with results byte-identical
+// at every worker count; one worker is the plain serial case of the
+// same loop, not a separate code path.
 //
 // The synchronization is conservative and deterministic. Time advances
 // in epochs of L = network.Lookahead(topo) cycles: the minimum latency
@@ -17,15 +18,17 @@
 // independent of worker count and scheduling.
 //
 // Statistics and hooks are replayed by the coordinator from per-worker
-// records merged in the serial driver's own order (deliveries by
-// (cycle, destination), injections by (cycle, source)), which makes not
-// just the final numbers but the full observable event stream identical
-// to a serial run. TestShardDeterminism pins this equivalence;
-// DESIGN.md ("Sharded synchronization") gives the legality argument.
+// records merged in one canonical order (deliveries by (cycle,
+// destination), injections by (cycle, source)), which makes not just
+// the final numbers but the full observable event stream independent of
+// the worker count. TestShardDeterminism pins this against serialRun, a
+// single-loop reference driver kept in the tests; DESIGN.md ("Sharded
+// synchronization") gives the legality argument.
 package shard
 
 import (
 	"cmp"
+	"fmt"
 	"slices"
 	"sync"
 
@@ -36,15 +39,25 @@ import (
 	"highradix/internal/traffic"
 )
 
-// Options parameterizes a sharded run: the serial options plus the
-// worker count.
+// Options parameterizes a run: the network options plus the worker
+// count.
 type Options struct {
 	network.Options
-	// Workers is the number of shards. 0 and 1 both mean one worker
-	// (still running through the epoch machinery, which is how the
-	// workers-1-equals-serial test earns its keep). Counts above the
-	// router count leave the excess workers with empty shards.
+	// Workers is the number of shards. 0 and 1 both mean one worker,
+	// and a negative count is an error (CheckWorkers). Counts above the
+	// router count are clamped to it: an empty shard contributes
+	// nothing but a wait and a replay scan per epoch.
 	Workers int
+}
+
+// CheckWorkers reports whether n is a valid Options.Workers value. Run
+// applies it; command-line front ends call it to reject a bad flag
+// before running anything.
+func CheckWorkers(n int) error {
+	if n < 0 {
+		return fmt.Errorf("shard: worker count %d, want >= 0", n)
+	}
+	return nil
 }
 
 // Test-only fault injections, exercised by the mutation-regression
@@ -122,17 +135,16 @@ type worker struct {
 	// inflight and backlog snapshot the post-cycle state of every epoch
 	// cycle (frozen values replicated across locally fast-forwarded
 	// stretches), so the coordinator can reconstruct the global counters
-	// the serial driver's per-cycle exit checks and EndCycle hook read.
+	// its per-cycle exit checks and the EndCycle hook read.
 	inflight []int
 	backlog  []int64
 }
 
-// runEpoch simulates cycles [from, end), mirroring the serial driver's
-// per-cycle structure exactly: generate, inject, step-unless-quiescent,
-// record deliveries, then fast-forward across provably idle local
-// stretches (never past the epoch boundary, and only where the serial
-// driver could jump too: no cycle that draws generation randomness is
-// ever skipped).
+// runEpoch simulates cycles [from, end) of the shard, one cycle at a
+// time: generate, inject, step-unless-quiescent, record deliveries,
+// then fast-forward across provably idle local stretches (never past
+// the epoch boundary, and only where the whole network could jump too:
+// no cycle that draws generation randomness is ever skipped).
 func (w *worker) runEpoch(from, end int64) {
 	w.deliv = w.deliv[:0]
 	w.injs = w.injs[:0]
@@ -202,19 +214,19 @@ func (w *worker) runEpoch(from, end int64) {
 	}
 }
 
-// Run executes one network simulation across o.Workers shards and
-// returns the byte-identical serial result. See the package comment for
-// the synchronization scheme.
+// Run executes one network simulation across o.Workers shards; the
+// result is the same at every worker count. See the package comment
+// for the synchronization scheme.
 func Run(o Options) (network.Result, error) {
+	if err := CheckWorkers(o.Workers); err != nil {
+		return network.Result{}, err
+	}
 	o.Options = o.Options.WithDefaults()
 	topo, err := o.Topology()
 	if err != nil {
 		return network.Result{}, err
 	}
-	p := o.Workers
-	if p < 1 {
-		p = 1
-	}
+	p := min(max(o.Workers, 1), topo.Routers())
 	parts := Partition(topo.Routers(), p)
 	epochLen := int64(network.Lookahead(topo) + testLookaheadSkew)
 	if epochLen < 1 {
@@ -258,18 +270,18 @@ func Run(o Options) (network.Result, error) {
 
 	for now = 0; now < maxCycles; {
 		from := now
-		end := from + epochLen
-		if end > maxCycles {
-			end = maxCycles
-		}
+		end := min(from+epochLen, maxCycles)
 		// 1. Epoch: every worker simulates [from, end) independently.
-		wg.Add(len(workers))
-		for _, w := range workers {
-			go func(w *worker) {
+		// Worker 0 runs on this goroutine, so a one-worker epoch spawns
+		// nothing and waits on nothing.
+		wg.Add(len(workers) - 1)
+		for _, w := range workers[1:] {
+			go func(w *worker, from, end int64) {
 				defer wg.Done()
 				w.runEpoch(from, end)
-			}(w)
+			}(w, from, end)
 		}
+		workers[0].runEpoch(from, end)
 		wg.Wait()
 		now = end
 
@@ -287,14 +299,14 @@ func Run(o Options) (network.Result, error) {
 			workers[owner[m.DstRouter]].eng.PutRemote(m)
 		}
 
-		// 3. Replay: merge the per-worker records into the serial
-		// driver's accumulation order and rerun its per-cycle accounting,
-		// hooks, and exit checks over the epoch. Totals that feed the
+		// 3. Replay: merge the per-worker records into one canonical
+		// accumulation order and run the per-cycle accounting, hooks,
+		// and exit checks over the epoch. Totals that feed the
 		// drain-exit checks (generated flits, labeled injections) are
 		// final by measEnd — generation stops there in hooked runs and
 		// labeling always does — and the checks never fire earlier, so
-		// the barrier-time sums are exactly the values the serial driver
-		// would have read at each checked cycle.
+		// the barrier-time sums are exactly the values a single loop
+		// over the whole network would read at each checked cycle.
 		recs = recs[:0]
 		injs = injs[:0]
 		for _, w := range workers {
@@ -368,12 +380,11 @@ func Run(o Options) (network.Result, error) {
 			break
 		}
 
-		// 4. Global fast-forward, mirroring the serial driver's jump from
-		// the epoch's last cycle: if no worker can generate or deliver
-		// anything before the earliest pending event, advance the next
-		// epoch's start straight there. Evaluated only after the exit
-		// scan — a jump from a cycle where the exit would have fired
-		// would overshoot the serial stop cycle.
+		// 4. Global fast-forward from the epoch's last cycle: if no
+		// worker can generate or deliver anything before the earliest
+		// pending event, advance the next epoch's start straight there.
+		// Evaluated only after the exit scan — a jump from a cycle where
+		// the exit would have fired would overshoot the stop cycle.
 		last := end - 1
 		generatingLast := !hooked || last < measEnd
 		_, backlogLast := sumAt(last)
@@ -425,8 +436,8 @@ func Run(o Options) (network.Result, error) {
 	return res, nil
 }
 
-// Sweep is the sharded counterpart of network.Sweep: runs across
-// offered loads, stopping after the first saturated point.
+// Sweep runs across offered loads, stopping after the first saturated
+// point, and returns the latency-versus-load series.
 func Sweep(name string, loads []float64, base Options) (*stats.Series, error) {
 	s := &stats.Series{Name: name}
 	for _, load := range loads {

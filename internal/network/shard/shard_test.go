@@ -62,11 +62,11 @@ func baseOpts(topo network.Topology, seed uint64, inj traffic.InjMode) network.O
 	}
 }
 
-// TestShardDeterminism is the equivalence battery of the sharded
-// runner: for every topology family, injection mode, and seed, the
-// sharded run at each worker count must reproduce the serial run's
-// Result byte-for-byte (unhooked path) and its full injection/delivery
-// event stream (hooked path).
+// TestShardDeterminism is the equivalence battery of the driver: for
+// every topology family, injection mode, and seed, the run at each
+// worker count must reproduce the reference serialRun's Result
+// byte-for-byte (unhooked path) and its full injection/delivery event
+// stream (hooked path).
 func TestShardDeterminism(t *testing.T) {
 	workers := []int{1, 2, 3, 7}
 	modes := map[string]traffic.InjMode{"percycle": traffic.InjPerCycle, "gap": traffic.InjGap}
@@ -75,14 +75,14 @@ func TestShardDeterminism(t *testing.T) {
 			for seed := uint64(1); seed <= 3; seed++ {
 				t.Run(fmt.Sprintf("%s/%s/seed%d", name, modeName, seed), func(t *testing.T) {
 					base := baseOpts(topo, seed, mode)
-					want, err := network.Run(base)
+					want, err := serialRun(base)
 					if err != nil {
 						t.Fatal(err)
 					}
 					hookedBase := base
 					wantRec := &recorder{}
 					hookedBase.Hooks = wantRec
-					wantHooked, err := network.Run(hookedBase)
+					wantHooked, err := serialRun(hookedBase)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -133,7 +133,7 @@ func TestShardMultiFlit(t *testing.T) {
 			base := baseOpts(topo, 7, traffic.InjPerCycle)
 			base.PktLen = 3
 			base.Load = 0.5
-			want, err := network.Run(base)
+			want, err := serialRun(base)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -147,6 +147,15 @@ func TestShardMultiFlit(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestRunRejectsNegativeWorkers: a negative worker count is an error,
+// not a silent one-worker run.
+func TestRunRejectsNegativeWorkers(t *testing.T) {
+	o := Options{Options: baseOpts(testTopologies(t)["ring"], 1, traffic.InjPerCycle), Workers: -1}
+	if _, err := Run(o); err == nil {
+		t.Fatal("Run accepted Workers: -1")
 	}
 }
 
@@ -224,11 +233,11 @@ func someWorkerDiverges(t *testing.T) bool {
 			wantRec := &recorder{}
 			hooked := base
 			hooked.Hooks = wantRec
-			want, err := network.Run(base)
+			want, err := serialRun(base)
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantHooked, err := network.Run(hooked)
+			wantHooked, err := serialRun(hooked)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -26,12 +26,12 @@ type SourceOpts struct {
 }
 
 // Sources owns the generation and injection state of the terminals
-// whose entry router lies in one engine's range. The serial driver
-// uses a single bank over all terminals; each shard worker owns the
-// bank for its routers. Because every per-terminal decision (packet
-// id, destination, inter-arrival gap) comes from that terminal's
-// private stream, a partitioned set of banks reproduces the serial
-// bank's traffic exactly.
+// whose entry router lies in one engine's range. Each shard worker owns
+// the bank for its routers; one worker owns a single bank over all
+// terminals. Because every per-terminal decision (packet id,
+// destination, inter-arrival gap) comes from that terminal's private
+// stream, a partitioned set of banks reproduces a single bank's
+// traffic exactly.
 type Sources struct {
 	topo  Topology
 	opts  SourceOpts

@@ -110,7 +110,7 @@ func keyUniform(key uint64, n int) int {
 // seed. Per-terminal streams (rather than one shared source RNG) keep
 // generation draws independent of terminal visit order, which is what
 // lets shards generate for disjoint terminal sets and still reproduce
-// the serial run bit-for-bit.
+// a one-shard run bit-for-bit.
 func termSeed(seed uint64, t int) uint64 {
 	return mix64(seed ^ 0x6c62272e07bb0142 ^ mix64(uint64(t)*0x9e3779b97f4a7c15+0x7f4a7c15))
 }

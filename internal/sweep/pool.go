@@ -120,7 +120,7 @@ type Point struct {
 
 // Curve sweeps run over xs and returns the series named name,
 // truncated after the first saturated point — the exact contract of
-// the serial testbench.Sweep / network.Sweep loops, which stop where
+// the serial testbench.Sweep / shard.Sweep loops, which stop where
 // the paper's curves end.
 //
 // Points launch strictly in index order through a sliding window of
